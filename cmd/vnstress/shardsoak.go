@@ -158,10 +158,8 @@ func runShardSoak() {
 	sent, delivered, dropped, corrupted := cl.NetTotals()
 	fmt.Printf("net: sent=%d delivered=%d dropped=%d corrupted=%d\n",
 		sent, delivered, dropped, corrupted)
-	if cl.Coord != nil {
-		barriers, exchanged := cl.Coord.ExchangeStats()
-		fmt.Printf("exchange: barriers=%d cross-shard=%d\n", barriers, exchanged)
-	}
+	barriers, exchanged := cl.Coord.ExchangeStats()
+	fmt.Printf("exchange: barriers=%d cross-shard=%d\n", barriers, exchanged)
 	if violations > 0 {
 		fatal("shard soak: %d invariant violations", violations)
 	}

@@ -41,7 +41,7 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 		c.ShardNet(s).SetTracer(o.T)
 	}
 	for _, n := range c.Nodes {
-		sh := c.shardIdxOf(n.ID)
+		sh := c.Fab.ShardOf(n.ID)
 		o := c.shardObs[sh]
 		n.Obs = o
 		o.R.AddCounters(fmt.Sprintf("nic.n%d", int(n.ID)), n.NIC.C)
@@ -67,7 +67,7 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 	o0.R.AddGauge("net.corrupted", func() float64 { _, _, _, x := c.NetTotals(); return float64(x) })
 	o0.R.AddFunc("link", func() []obs.KV {
 		var out []obs.KV
-		for _, lc := range c.linkCounters() {
+		for _, lc := range c.Fab.PerLinkCounters() {
 			if lc.Sent == 0 && lc.Dropped == 0 {
 				continue
 			}
@@ -81,35 +81,9 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 	return o0
 }
 
-// shardIdxOf returns the shard owning host id (0 for a classic cluster).
-func (c *Cluster) shardIdxOf(id netsim.NodeID) int {
-	if c.Fab == nil {
-		return 0
-	}
-	return c.Fab.ShardOf(id)
-}
-
-// linkCounters returns fabric-wide per-link counters: the single network's
-// for a classic cluster, merged across replicas for a sharded one.
-func (c *Cluster) linkCounters() []netsim.LinkCounters {
-	if c.Fab != nil {
-		return c.Fab.PerLinkCounters()
-	}
-	return c.Net.PerLinkCounters()
-}
-
-// Obs returns the cluster's observability layer, nil before EnableObs.
-// For a sharded cluster this is shard 0's layer, which carries the
-// fabric-wide aggregates.
-func (c *Cluster) Obs() *obs.Obs {
-	if len(c.shardObs) > 0 {
-		return c.shardObs[0]
-	}
-	if len(c.Nodes) == 0 {
-		return nil
-	}
-	return c.Nodes[0].Obs
-}
+// Obs returns the cluster's observability layer, nil before EnableObs:
+// shard 0's layer, which carries the fabric-wide aggregates.
+func (c *Cluster) Obs() *obs.Obs { return c.ShardObs(0) }
 
 // ShardObs returns shard s's observability layer (nil before EnableObs).
 func (c *Cluster) ShardObs(s int) *obs.Obs {
@@ -130,10 +104,10 @@ func (c *Cluster) MergedSnapshot() obs.Snap {
 	return obs.MergeSnaps(snaps)
 }
 
-// ShardOfNode maps a host id to the shard that owns it (always 0 on a
-// classic cluster) — the track-labeling callback trace exporters want.
+// ShardOfNode maps a host id to the shard that owns it — the
+// track-labeling callback trace exporters want.
 func (c *Cluster) ShardOfNode(id int) int {
-	return c.shardIdxOf(netsim.NodeID(id))
+	return c.Fab.ShardOf(netsim.NodeID(id))
 }
 
 // Tracers returns every shard's flight-recorder arena in shard order (nil

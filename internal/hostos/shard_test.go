@@ -41,14 +41,17 @@ func TestShardedClusterWiring(t *testing.T) {
 	}
 }
 
-func TestShardedClusterFallsBackToClassic(t *testing.T) {
+func TestSingleShardClusterAliasesShardZero(t *testing.T) {
 	c := NewShardedCluster(1, 10, 1, DefaultClusterConfig())
 	defer c.Shutdown()
-	if c.Coord != nil || c.Fab != nil || c.Shards() != 1 {
-		t.Fatalf("1-shard cluster should be classic")
+	if c.Shards() != 1 || c.Coord == nil || c.Fab == nil {
+		t.Fatalf("1-shard cluster must run on a 1-shard coordinator and fabric: shards=%d", c.Shards())
+	}
+	if c.E != c.Coord.Engine(0) || c.Net != c.Fab.Shard(0) {
+		t.Fatalf("E/Net must alias shard 0")
 	}
 	if c.ShardEngine(0) != c.E || c.ShardNet(0) != c.Net {
-		t.Fatalf("classic shard accessors must alias E/Net")
+		t.Fatalf("shard 0 accessors must alias E/Net")
 	}
 }
 

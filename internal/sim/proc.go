@@ -1,19 +1,23 @@
+//go:build go1.23
+
 package sim
 
-// Proc is a cooperative simulated thread: a goroutine that runs only while
-// it holds the engine's run token. Procs model application processes, POSIX
+import "iter"
+
+// Proc is a cooperative simulated thread: a coroutine that runs only while
+// the engine has resumed it. Procs model application processes, POSIX
 // threads, OS kernel threads, and NI firmware loops. A Proc may touch
 // simulated state freely while running; it relinquishes control by sleeping
 // or blocking on a Cond.
 type Proc struct {
 	e    *Engine
 	name string
-	// token wakes the goroutine: a resume (runProc set resumed and made it
-	// the loop runner) or a kill. endAck reports a killed goroutine's unwind
-	// back to the synchronous killer.
-	token   chan struct{}
-	endAck  chan struct{}
-	resumed bool
+	// The body runs inside iter.Pull: next resumes it until it yields (or
+	// reports that it has returned), yieldFn hands control back to the
+	// caller of next, and stop unwinds a parked body.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
 	done    bool
 	killed  bool
 	// waiting and waitGen track the Cond the proc is parked on so a
@@ -36,73 +40,49 @@ type procKilled struct{}
 // Spawn creates a simulated thread that begins executing fn at the current
 // virtual time (after already-queued events at this time).
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, token: make(chan struct{}), endAck: make(chan struct{})}
+	p := &Proc{e: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(procKilled); !ok {
+					panic(r)
+				}
+			}
+		}()
+		fn(p)
+	})
 	p.resumeT = e.NewTimer(func() { e.runProc(p) })
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.token
-		if !p.killed {
-			runBody(p, fn)
-		}
-		p.done = true
-		if p.killed && e.runner != p {
-			// Killed while parked: the killer is active and waiting for the
-			// unwind to finish.
-			p.endAck <- struct{}{}
-			return
-		}
-		// The body finished (or was killed) while this goroutine held the
-		// run token: hand the loop to the driver and exit.
-		e.driverCh <- struct{}{}
-	}()
 	p.resumeT.Reset(0)
 	return p
 }
 
-func runBody(p *Proc, fn func(p *Proc)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procKilled); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
-	fn(p)
-}
-
-// Kill terminates a parked proc immediately: the next time it would resume
-// it unwinds instead, running no further simulated work (crash semantics —
-// no cleanup executes in the victim). Any Cond registration is removed so
-// signals are not wasted on the corpse. Killing the currently running proc
-// is not allowed; crashes are driven from event context or from another
-// proc, where the victim is parked.
-//
-// With run-loop migration the victim's goroutine may currently be stepping
-// the event loop on behalf of the engine (its body parked in yield). In that
-// case the kill is asynchronous by necessity: the flag is set and the victim
-// unwinds as soon as the event that invoked Kill completes — still before
-// any further simulated work runs in it.
+// Kill terminates a parked proc immediately, from event context or from
+// another proc: its body unwinds before Kill returns, running no further
+// simulated work (crash semantics — only the body's deferred calls run). A
+// proc killed before its first resume never runs at all. Any Cond
+// registration is removed so signals are not wasted on the corpse. Killing
+// the currently running proc is not allowed.
 func (p *Proc) Kill() {
-	if p.done || p.killed {
+	if p.done {
 		return
 	}
 	if p.e.cur == p {
 		panic("sim: Kill of the running proc")
 	}
+	p.halt()
+}
+
+// halt marks a parked proc killed and done and unwinds its body.
+func (p *Proc) halt() {
 	if p.waiting != nil {
 		p.waiting.remove(p)
 		p.waiting = nil
 	}
 	p.killed = true
-	if p.e.runner == p {
-		// The victim's goroutine is executing this very Kill (an event fired
-		// from its yield loop). Its loop notices the flag when the current
-		// event returns and unwinds, handing the loop to the driver.
-		return
-	}
-	p.token <- struct{}{}
-	<-p.endAck
+	p.done = true
+	p.stop()
 }
 
 // Killed reports whether the proc was terminated by Kill or Shutdown.
@@ -120,34 +100,13 @@ func (p *Proc) Done() bool { return p.done }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.Now() }
 
-// yield parks the proc's body and turns its goroutine into the engine's
-// loop runner: it steps events — handing the loop off whenever one resumes
-// another proc — until one resumes this proc, at which point it returns to
-// the body with no goroutine switch at all. If the driver's bound is
-// exhausted first, the loop is handed back to the driver and the goroutine
-// parks until a later event resumes (or kills) it.
+// yield parks the proc's body and returns control to the event that
+// resumed it. It returns when a later event resumes the proc, or unwinds the
+// body when the proc is killed while parked.
 func (p *Proc) yield() {
-	e := p.e
-	p.resumed = false
-	e.cur = nil
-	for !p.resumed {
-		if p.killed {
-			// Killed by an event this loop just fired: unwind, running no
-			// further events; the spawn wrapper hands the loop back.
-			panic(procKilled{})
-		}
-		if e.stepBounded(e.bound) {
-			continue
-		}
-		// Nothing left within the driver's bound: hand the loop back and
-		// park until resumed.
-		e.driverCh <- struct{}{}
-		<-p.token
-		if p.killed {
-			panic(procKilled{})
-		}
+	if !p.yieldFn(struct{}{}) {
+		panic(procKilled{})
 	}
-	e.cur = p
 }
 
 // Sleep suspends the proc for d of virtual time.
@@ -261,15 +220,6 @@ func (s *Semaphore) Acquire(p *Proc) {
 		s.cond.Wait(p)
 	}
 	s.n--
-}
-
-// TryAcquire takes a permit without blocking; it reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.n == 0 {
-		return false
-	}
-	s.n--
-	return true
 }
 
 // Release returns a permit and wakes one waiter.

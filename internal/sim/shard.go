@@ -1,10 +1,11 @@
 // Conservative-lookahead sharding: a Coordinator owns N engines, one per
 // shard of the simulated cluster, and synchronizes them with barrier
 // windows. All shards run the window [B, B+W) in parallel (one worker
-// goroutine per shard drives its engine; the engine's own run-loop
-// migration handles its procs), then meet at a barrier where cross-shard
+// goroutine per shard steps its engine, firing that shard's events and
+// resuming that shard's procs), then meet at a barrier where cross-shard
 // events staged during the window are flushed into their destination
-// engines and the next window begins.
+// engines and the next window begins. The workers are the simulator's only
+// host parallelism.
 //
 // W is the lookahead: the caller guarantees that any event a shard posts to
 // another shard while executing at local time t carries a timestamp >= t+W
@@ -42,9 +43,11 @@ type xev struct {
 }
 
 // Coordinator synchronizes a set of per-shard engines with conservative
-// lookahead barriers. A coordinator with one shard degenerates to direct
-// calls on the single engine — no workers, no barriers, no exchange — so a
-// 1-shard run is byte-identical to an unsharded one.
+// lookahead barriers. With several shards, each shard's worker goroutine
+// runs its engine's windows, so proc coroutines are resumed from that
+// worker. A coordinator with one shard degenerates to direct calls on the
+// single engine from the caller's goroutine — no workers, no barriers, no
+// exchange — so a 1-shard run is byte-identical to a bare engine's.
 type Coordinator struct {
 	engines []*Engine
 	window  Duration
@@ -129,7 +132,8 @@ func (c *Coordinator) post(src, dst int, at Time, fn func()) {
 }
 
 // ensureWorkers starts the per-shard worker goroutines (idempotent). Each
-// worker blocks for a window bound, runs its engine to it, and signals done.
+// worker blocks for a window bound, runs its engine to it — its shard's
+// events and proc resumes all happen on the worker — and signals done.
 func (c *Coordinator) ensureWorkers() {
 	if c.live {
 		return

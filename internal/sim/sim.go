@@ -4,9 +4,10 @@
 //
 // All simulated code — NI firmware loops, OS kernel threads, application
 // processes — runs under a single engine. Exactly one simulated activity
-// executes at a time (the engine hands a run token to at most one Proc), so
-// simulated state needs no locking and every run is bit-reproducible for a
-// given seed.
+// executes at a time: events fire on the goroutine that steps the loop, and
+// an event resumes a Proc by switching into its coroutine until the proc
+// yields back. Simulated state needs no locking and every run is
+// bit-reproducible for a given seed.
 //
 // Events are kept in a hierarchical timer wheel (four levels of 256 slots,
 // 8 bits of virtual time each) with an overflow min-heap for events beyond
@@ -208,16 +209,6 @@ type Engine struct {
 	cur   *Proc
 	procs []*Proc
 
-	// Run-loop migration state. Exactly one goroutine steps the event loop
-	// at a time: the driver (the goroutine inside Run/RunUntil) or a proc
-	// goroutine whose body is parked in yield. bound is the driver's current
-	// time limit, runner the proc whose goroutine holds the loop (nil when
-	// the driver does), and driverCh the rendezvous used to hand the loop
-	// back to the driver.
-	bound    Time
-	runner   *Proc
-	driverCh chan struct{}
-
 	wheel     [wheelLevels][wheelSlots]slotList
 	occ       [wheelLevels][wheelSlots / 64]uint64 // slot occupancy bitmaps
 	wheelLive int
@@ -234,7 +225,7 @@ type Engine struct {
 
 // NewEngine returns an engine with virtual time 0 and a PRNG seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), driverCh: make(chan struct{})}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -553,8 +544,7 @@ func (e *Engine) stepBounded(bound Time) bool {
 // Run processes events until none remain. Procs blocked with no pending
 // wakeup are left parked (use Shutdown to release their goroutines).
 func (e *Engine) Run() {
-	e.bound = Time(math.MaxInt64)
-	for e.stepBounded(e.bound) {
+	for e.stepBounded(math.MaxInt64) {
 	}
 }
 
@@ -594,7 +584,6 @@ func (e *Engine) advanceTo(t Time) {
 
 // RunUntil processes events with time <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	e.bound = t
 	for e.stepBounded(t) {
 	}
 	e.advanceTo(t)
@@ -603,53 +592,29 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor processes events for d of virtual time from now.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// runProc transfers control to p until it yields or exits. The event loop
-// migrates with the control transfer: the calling goroutine — the current
-// loop runner — wakes p (which takes over stepping events when it next
-// yields) and parks until its own proc is resumed. When the runner fires its
-// own resume event, the transfer is a plain return with no goroutine switch:
-// the runner unwinds out of its yield loop back into its body.
+// runProc resumes p's body until it yields or returns. Its caller is an
+// event, so e.cur is nil again once the body has handed control back.
 func (e *Engine) runProc(p *Proc) {
 	if p.done {
 		return
 	}
-	r := e.runner
-	p.resumed = true
 	e.cur = p
-	if r == p {
-		return
-	}
-	e.runner = p
-	p.token <- struct{}{}
-	if r == nil {
-		// Driver goroutine: park until a runner hands the loop back (bound
-		// exhausted, or a proc exited while holding it), then keep stepping.
-		<-e.driverCh
-		e.runner = nil
-		e.cur = nil
-	} else {
-		// Proc goroutine: park until r itself is resumed — or killed, in
-		// which case unwind without touching engine state (the killer is
-		// the active goroutine).
-		<-r.token
-		if r.killed {
-			panic(procKilled{})
-		}
+	_, ok := p.next()
+	e.cur = nil
+	if !ok {
+		p.done = true
 	}
 }
 
 // Cur returns the currently running Proc, or nil when in plain event context.
 func (e *Engine) Cur() *Proc { return e.cur }
 
-// Shutdown kills all live procs so their goroutines exit. The engine remains
+// Shutdown kills all live procs, unwinding their bodies. The engine remains
 // usable for inspection but no further events should be scheduled.
 func (e *Engine) Shutdown() {
 	for _, p := range e.procs {
-		if p.done {
-			continue
+		if !p.done {
+			p.halt()
 		}
-		p.killed = true
-		p.token <- struct{}{}
-		<-p.endAck
 	}
 }
