@@ -51,8 +51,8 @@ import (
 	"virtnet/internal/migrate"
 	"virtnet/internal/mpi"
 	"virtnet/internal/netsim"
-	"virtnet/internal/obs"
 	"virtnet/internal/nic"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
 )
 

@@ -19,13 +19,13 @@ import (
 // requests per second — big enough for real tail statistics, small enough
 // that a full offered-load sweep stays CI-friendly.
 const (
-	serveService  = sim.Millisecond         // per-op server compute
-	serveDeadline = 20 * sim.Millisecond    // end-to-end SLO deadline
-	serveQueue    = 16                      // bounded admission: 16×1ms < deadline
-	serveMaxOut   = 48                      // per-client inflight cap
-	serveKeys     = 100_000                 // key space
-	serveIdemCap  = 1 << 14                 // server idempotency cache
-	serveDrain    = 2 * serveDeadline       // post-Stop harvest window
+	serveService  = sim.Millisecond      // per-op server compute
+	serveDeadline = 20 * sim.Millisecond // end-to-end SLO deadline
+	serveQueue    = 16                   // bounded admission: 16×1ms < deadline
+	serveMaxOut   = 48                   // per-client inflight cap
+	serveKeys     = 100_000              // key space
+	serveIdemCap  = 1 << 14              // server idempotency cache
+	serveDrain    = 2 * serveDeadline    // post-Stop harvest window
 )
 
 // ServeConfig parameterizes one point of the serving-workload experiment:
@@ -285,7 +285,7 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 			kcfg.PerByte = 20 * sim.Nanosecond
 		}
 		// Work per offered op, in units of one service time.
-		workPerOp := (1-wcfg.PutFrac) + wcfg.PutFrac*float64(wcfg.Replicas)
+		workPerOp := (1 - wcfg.PutFrac) + wcfg.PutFrac*float64(wcfg.Replicas)
 		if wcfg.FanReads > 1 {
 			workPerOp = float64(wcfg.FanReads)
 		}

@@ -52,6 +52,20 @@ type Transport interface {
 	Recv(p *sim.Proc, src, tag int) ([]byte, error)
 }
 
+// releaser is optionally implemented by transports that recycle receive
+// buffers (internal/mpi's Comm). Once an algorithm has consumed a buffer
+// Recv returned, and has not sent it on, it hands the buffer back.
+type releaser interface {
+	Release(b []byte)
+}
+
+// release hands b back to t if t recycles buffers.
+func release(t Transport, b []byte) {
+	if r, ok := t.(releaser); ok {
+		r.Release(b)
+	}
+}
+
 // Topology is optionally implemented by transports that know the physical
 // placement of ranks (netsim's locality API surfaced per rank). LeafOfRank
 // returns the leaf-switch index of the node hosting rank r.
@@ -266,7 +280,8 @@ func Bcast(p *sim.Proc, t Transport, root int, data []byte, alg Algorithm) ([]by
 	if alg == Hierarchical && hasTopology(t) && spansLeaves(t) {
 		return hierBcast(p, t, root, data)
 	}
-	return treeBcast(p, t, root, data, tagTree)
+	data, _, err := treeBcast(p, t, root, data, tagTree)
+	return data, err
 }
 
 // Barrier synchronizes all ranks (dissemination, ceil(log2 n) rounds).
@@ -371,18 +386,27 @@ func encode(v []float64) []byte {
 	return b
 }
 
+// decodeInto decodes the encoded vector src into dst, as many elements as
+// both hold.
+func decodeInto(dst []float64, src []byte) {
+	n := min(len(dst), len(src)/8)
+	for i := 0; i < n; i++ {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	}
+}
+
+// decode returns the encoded vector b as a new slice.
 func decode(b []byte) []float64 {
 	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	decodeInto(v, b)
 	return v
 }
 
-// reduceInto folds src into dst elementwise with op.
-func reduceInto(dst, src []float64, op Op) {
-	for i := range src {
-		dst[i] = op(dst[i], src[i])
+// reduceBytes folds the encoded vector src into dst elementwise with op,
+// decoding each element in place.
+func reduceBytes(dst []float64, src []byte, op Op) {
+	for i := 0; i < len(src)/8; i++ {
+		dst[i] = op(dst[i], math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:])))
 	}
 }
 
@@ -415,14 +439,17 @@ func treeReduce(p *sim.Proc, t Transport, root int, vec []float64, op Op, tagBas
 			if err != nil {
 				return nil, err
 			}
-			reduceInto(acc, decode(raw), op)
+			reduceBytes(acc, raw, op)
+			release(t, raw)
 		}
 	}
 	return acc, nil
 }
 
-// treeBcast distributes root's buffer over a binomial tree.
-func treeBcast(p *sim.Proc, t Transport, root int, data []byte, tagBase int) ([]byte, error) {
+// treeBcast distributes root's buffer over a binomial tree. owned reports
+// that data came from Recv and was sent on to no child, so the caller may
+// release it once consumed.
+func treeBcast(p *sim.Proc, t Transport, root int, data []byte, tagBase int) (_ []byte, owned bool, _ error) {
 	n := t.Size()
 	vrank := (t.Rank() - root + n) % n
 	mask := 1
@@ -431,9 +458,9 @@ func treeBcast(p *sim.Proc, t Transport, root int, data []byte, tagBase int) ([]
 			src := (vrank - mask + root) % n
 			got, err := t.Recv(p, src, tagBase+32)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			data = got
+			data, owned = got, true
 			break
 		}
 		mask <<= 1
@@ -442,11 +469,12 @@ func treeBcast(p *sim.Proc, t Transport, root int, data []byte, tagBase int) ([]
 		if vrank+mask < n {
 			dst := (vrank + mask + root) % n
 			if err := t.Send(p, dst, tagBase+32, data); err != nil {
-				return nil, err
+				return nil, false, err
 			}
+			owned = false
 		}
 	}
-	return data, nil
+	return data, owned, nil
 }
 
 func treeAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, error) {
@@ -458,9 +486,13 @@ func treeAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, e
 	if t.Rank() == 0 {
 		raw = encode(acc)
 	}
-	raw, err = treeBcast(p, t, 0, raw, tagTree)
+	raw, owned, err := treeBcast(p, t, 0, raw, tagTree)
 	if err != nil {
 		return nil, err
 	}
-	return decode(raw), nil
+	res := decode(raw)
+	if owned {
+		release(t, raw)
+	}
+	return res, nil
 }

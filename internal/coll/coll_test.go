@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"virtnet/internal/coll"
@@ -177,6 +178,91 @@ func TestAlgorithmsBitwiseIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// hideRelease is a transport that does not recycle receive buffers: it
+// exposes Comm's Transport and Topology methods but not Release.
+type hideRelease struct {
+	coll.Transport
+	coll.Topology
+}
+
+// TestPooledPathBitwiseIdentical runs every algorithm on a vector whose ring
+// and allgather segments span several 8 KB fragments, once over a transport
+// that recycles receive buffers (*mpi.Comm) and once over one that does
+// not. Recycled buffers, in-place decoding and forwarded allgather segments
+// must not change a bit of any rank's result.
+func TestPooledPathBitwiseIdentical(t *testing.T) {
+	const n, length = 5, 8000
+	want := wantSum(n, length)
+	for _, alg := range allAlgs {
+		for _, pooled := range []bool{false, true} {
+			w := newWorld(t, n)
+			got := make([][]float64, n)
+			ok := w.Run(func(p *sim.Proc, c *mpi.Comm) {
+				var tr coll.Transport = c
+				if !pooled {
+					tr = hideRelease{c, c}
+				}
+				// Two rounds, so the second runs on recycled buffers.
+				for round := 0; round < 2; round++ {
+					out, err := coll.Allreduce(p, tr, testVec(c.Rank(), length), mpi.OpSum, alg)
+					if err != nil {
+						t.Errorf("rank %d %s: %v", c.Rank(), alg, err)
+						return
+					}
+					got[c.Rank()] = out
+				}
+			}, 60*sim.Second)
+			if !ok {
+				t.Fatalf("%s pooled=%v: ranks did not complete", alg, pooled)
+			}
+			for r := 0; r < n; r++ {
+				if len(got[r]) != length {
+					t.Fatalf("%s pooled=%v: rank %d has %d elements", alg, pooled, r, len(got[r]))
+				}
+				for i, x := range got[r] {
+					if math.Float64bits(x) != math.Float64bits(want[i]) {
+						t.Fatalf("%s pooled=%v: rank %d elem %d = %v, want %v", alg, pooled, r, i, x, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRingAllreduceAllocBudget bounds the host bytes one 1 MiB ring
+// allreduce allocates per rank over mpi. Encoding every sent chunk,
+// decoding every received one into a fresh vector and reassembling every
+// message into a fresh buffer costs about three times the bytes each rank
+// moves (2·(n-1)/n of the vector), plus the result vector: about 6.25x the
+// vector at n=8. Recycled receive buffers, in-place decoding and forwarded
+// allgather segments leave encoding the reduce-scatter chunks, allocating
+// the forwarded segments and the result: about 2.75x.
+func TestRingAllreduceAllocBudget(t *testing.T) {
+	const n, length = 8, 1 << 17 // 1 MiB of float64 per rank
+	w := newWorld(t, n)
+	vecs := make([][]float64, n)
+	for r := range vecs {
+		vecs[r] = testVec(r, length)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok := w.Run(func(p *sim.Proc, c *mpi.Comm) {
+		if _, err := coll.Allreduce(p, c, vecs[c.Rank()], mpi.OpSum, coll.Ring); err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+	}, 60*sim.Second)
+	runtime.ReadMemStats(&after)
+	if !ok {
+		t.Fatal("ranks did not complete")
+	}
+	perRank := float64(after.TotalAlloc-before.TotalAlloc) / n
+	vecBytes := float64(8 * length)
+	t.Logf("allocated %.2fx the vector per rank", perRank/vecBytes)
+	if perRank > 4*vecBytes {
+		t.Fatalf("allocated %.0f bytes per rank, %.2fx the vector; budget is 4x", perRank, perRank/vecBytes)
 	}
 }
 

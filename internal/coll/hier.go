@@ -50,6 +50,8 @@ func (st *subTransport) Recv(p *sim.Proc, src, tag int) ([]byte, error) {
 	return st.t.Recv(p, st.members[src], tag)
 }
 
+func (st *subTransport) Release(b []byte) { release(st.t, b) }
+
 // LeafOfRank passes physical placement through so the leaders' ring is
 // itself laid out leaf-by-leaf (a no-op ordering here, since leaders are
 // one-per-leaf, but it keeps the sub-ring deterministic and topology-aware).
@@ -126,11 +128,15 @@ func hierAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, e
 	if leaf.Rank() == 0 {
 		raw = encode(acc)
 	}
-	raw, err = treeBcast(p, leaf, 0, raw, tagHierDn)
+	raw, owned, err := treeBcast(p, leaf, 0, raw, tagHierDn)
 	if err != nil {
 		return nil, fmt.Errorf("coll: hier intra-leaf bcast: %w", err)
 	}
-	return decode(raw), nil
+	res := decode(raw)
+	if owned {
+		release(t, raw)
+	}
+	return res, nil
 }
 
 // hierBcast forwards root's buffer once to every leaf leader (binomial over
@@ -166,7 +172,7 @@ func hierBcast(p *sim.Proc, t Transport, root int, data []byte) ([]byte, error) 
 	if isLeader {
 		lt := newSubTransport(t, sortedCopy(leaders))
 		rootIdx := permIndex(lt.members, root)
-		got, err := treeBcast(p, lt, rootIdx, data, tagHierX)
+		got, _, err := treeBcast(p, lt, rootIdx, data, tagHierX)
 		if err != nil {
 			return nil, fmt.Errorf("coll: hier cross-leaf bcast: %w", err)
 		}
@@ -180,7 +186,7 @@ func hierBcast(p *sim.Proc, t Transport, root int, data []byte) ([]byte, error) 
 		leaderRank = root
 	}
 	leaf := newSubTransport(t, group)
-	got, err := treeBcast(p, leaf, permIndex(group, leaderRank), data, tagHierDn)
+	got, _, err := treeBcast(p, leaf, permIndex(group, leaderRank), data, tagHierDn)
 	if err != nil {
 		return nil, fmt.Errorf("coll: hier intra-leaf bcast: %w", err)
 	}

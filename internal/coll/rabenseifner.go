@@ -44,7 +44,8 @@ func rabAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, er
 		if err != nil {
 			return nil, fmt.Errorf("coll: rabenseifner fold: %w", err)
 		}
-		reduceInto(res, decode(raw), op)
+		reduceBytes(res, raw, op)
+		release(t, raw)
 		newrank = rank / 2
 	default:
 		newrank = rank - rem
@@ -80,7 +81,8 @@ func rabAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, er
 			if err != nil {
 				return nil, fmt.Errorf("coll: rabenseifner halving round %d: %w", round, err)
 			}
-			reduceInto(res[keepLo:keepHi], decode(raw), op)
+			reduceBytes(res[keepLo:keepHi], raw, op)
+			release(t, raw)
 			kept = append(kept, span{lo, hi})
 			lo, hi = keepLo, keepHi
 			round++
@@ -98,13 +100,13 @@ func rabAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, er
 			if err != nil {
 				return nil, fmt.Errorf("coll: rabenseifner doubling round %d: %w", i, err)
 			}
-			other := decode(raw)
 			mid := parent.lo + (parent.hi-parent.lo)/2
 			if lo == parent.lo {
-				copy(res[mid:parent.hi], other)
+				decodeInto(res[mid:parent.hi], raw)
 			} else {
-				copy(res[parent.lo:mid], other)
+				decodeInto(res[parent.lo:mid], raw)
 			}
+			release(t, raw)
 			lo, hi = parent.lo, parent.hi
 		}
 	}
@@ -121,7 +123,8 @@ func rabAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, er
 			if err != nil {
 				return nil, fmt.Errorf("coll: rabenseifner unfold: %w", err)
 			}
-			res = decode(raw)
+			decodeInto(res, raw)
+			release(t, raw)
 		}
 	}
 	return res, nil

@@ -47,26 +47,41 @@ func ringReduceScatter(p *sim.Proc, t Transport, res []float64, op Op, perm []in
 
 // ringAllgather circulates the fully reduced segments so every rank ends
 // with the whole vector. res must be the post-reduce-scatter working copy.
+//
+// The segment received at step s is the one sent at step s+1, and it is
+// sent on exactly as it arrived: re-encoding the decoded copy would give
+// the same bytes. Only step 0 encodes, and only the last segment received,
+// which is not sent on, goes back to the transport.
 func ringAllgather(p *sim.Proc, t Transport, res []float64, perm []int, tagBase int) error {
 	n := t.Size()
 	pos := permIndex(perm, t.Rank())
 	right := perm[(pos+1)%n]
 	left := perm[(pos-1+n)%n]
+	var fwd []byte // the segment received at the previous step
 	for s := 0; s < n-1; s++ {
 		sendLo, sendHi := segBounds(perm, (pos+1-s+2*n)%n, len(res))
 		recvLo, recvHi := segBounds(perm, (pos-s+2*n)%n, len(res))
 		if sendHi > sendLo {
-			if err := t.Send(p, right, tagBase+s, encode(res[sendLo:sendHi])); err != nil {
+			out := fwd
+			if s == 0 {
+				out = encode(res[sendLo:sendHi])
+			}
+			if err := t.Send(p, right, tagBase+s, out); err != nil {
 				return fmt.Errorf("coll: ring allgather step %d: %w", s, err)
 			}
 		}
+		fwd = nil
 		if recvHi > recvLo {
 			raw, err := t.Recv(p, left, tagBase+s)
 			if err != nil {
 				return fmt.Errorf("coll: ring allgather step %d: %w", s, err)
 			}
-			copy(res[recvLo:recvHi], decode(raw))
+			decodeInto(res[recvLo:recvHi], raw)
+			fwd = raw
 		}
+	}
+	if fwd != nil {
+		release(t, fwd)
 	}
 	return nil
 }
@@ -112,8 +127,8 @@ func exchangeReduce(p *sim.Proc, t Transport, right, left, tag int, sendBuf, rec
 			if err != nil {
 				return err
 			}
-			lo := ri * chunkElems
-			reduceInto(recvInto[lo:], decode(raw), op)
+			reduceBytes(recvInto[ri*chunkElems:], raw, op)
+			release(t, raw)
 			ri++
 		}
 	}

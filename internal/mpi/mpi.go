@@ -11,6 +11,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"virtnet/internal/coll"
 	"virtnet/internal/core"
@@ -41,12 +42,21 @@ type partialKey struct {
 	msgid uint64
 }
 
+// partial is a multi-fragment message under reassembly. Fragments of one
+// message never overlap, so a fragment is a second copy exactly when its
+// offset lies below next or is listed in ahead.
 type partial struct {
 	tag   int
 	data  []byte
-	got   int
-	total int
+	got   int   // payload bytes filed so far
+	next  int   // every fragment below this offset has been filed
+	ahead []int // offsets of fragments filed out of order, beyond next
 }
+
+// poolCap bounds each Comm's free list of reassembly buffers. A ring step
+// keeps coll.PipelineDepth chunks in flight per neighbour, so twice that
+// covers a step's receives; a longer list only raises the heap peak.
+const poolCap = 2 * coll.PipelineDepth
 
 // Comm is one rank's communicator.
 type Comm struct {
@@ -61,9 +71,12 @@ type Comm struct {
 	// per-source msgid order (MPI's non-overtaking guarantee): a message
 	// whose fragments complete early waits in stash until its predecessors
 	// from the same source are delivered.
-	stash       map[partialKey]*inMsg
+	stash       map[partialKey]inMsg
 	nextDeliver map[int]uint64
-	complete    []*inMsg
+	complete    []inMsg
+	// free holds reassembly buffers handed back by Release (at most
+	// poolCap of them).
+	free [][]byte
 
 	// nacks counts, per destination rank, consecutive fragments returned
 	// with the transport's retries exhausted; crossing maxReissues declares
@@ -124,7 +137,7 @@ func NewWorld(c *hostos.Cluster, n int, nodes []int) (*World, error) {
 			node:        node,
 			nextID:      make(map[int]uint64),
 			partials:    make(map[partialKey]*partial),
-			stash:       make(map[partialKey]*inMsg),
+			stash:       make(map[partialKey]inMsg),
 			nextDeliver: make(map[int]uint64),
 			nacks:       make(map[int]int),
 		}
@@ -186,25 +199,7 @@ func (c *Comm) Endpoint() *core.Endpoint { return c.ep }
 // install registers the fragment handlers.
 func (c *Comm) install() {
 	c.ep.SetHandler(hFrag, func(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
-		src := int(args[3] >> 32)
-		tag := int(int32(args[3] & 0xffffffff))
-		msgid := args[0]
-		offset := int(args[1])
-		total := int(args[2])
-		k := partialKey{src: src, msgid: msgid}
-		pt, ok := c.partials[k]
-		if !ok {
-			pt = &partial{tag: tag, data: make([]byte, total), total: total}
-			c.partials[k] = pt
-		}
-		delete(c.nacks, src) // traffic from src proves it alive
-		copy(pt.data[offset:], payload)
-		pt.got += len(payload)
-		if pt.got >= pt.total {
-			delete(c.partials, k)
-			c.stash[k] = &inMsg{src: src, tag: pt.tag, data: pt.data}
-			c.releaseInOrder(src)
-		}
+		c.fileFrag(args, payload)
 		tok.Reply(p, hFragAck, [4]uint64{})
 	})
 	c.ep.SetHandler(hFragAck, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {})
@@ -260,6 +255,103 @@ func (c *Comm) install() {
 		}
 		return nil
 	})
+}
+
+// fileFrag files one arriving fragment (payload is the sender's slice, so
+// its bytes are copied out). A fragment can arrive twice: the return
+// handler re-issues a fragment whose acknowledgement was lost even though
+// the fragment itself was delivered, and the re-issue carries a fresh
+// transport message id that the NI's duplicate filter cannot match. So a
+// fragment of a message already completed is dropped, and a fragment of a
+// message under reassembly counts at most once; counted twice it would
+// complete the message before all of its bytes were written.
+func (c *Comm) fileFrag(args [4]uint64, payload []byte) {
+	src := int(args[3] >> 32)
+	tag := int(int32(args[3] & 0xffffffff))
+	msgid := args[0]
+	offset := int(args[1])
+	total := int(args[2])
+	delete(c.nacks, src) // traffic from src proves it alive
+	k := partialKey{src: src, msgid: msgid}
+	due := c.nextDeliver[src]
+	if msgid < due {
+		return
+	}
+	if _, ok := c.stash[k]; ok {
+		return
+	}
+	if offset == 0 && len(payload) == total {
+		// The whole message in one fragment: no reassembly state, and when
+		// it is the next one due from src, no stash either.
+		m := inMsg{src: src, tag: tag, data: c.buf(total)}
+		copy(m.data, payload)
+		if msgid != due {
+			c.stash[k] = m
+			return
+		}
+		c.nextDeliver[src]++
+		c.complete = append(c.complete, m)
+		c.releaseInOrder(src)
+		return
+	}
+	pt, ok := c.partials[k]
+	if !ok {
+		pt = &partial{tag: tag, data: c.buf(total)}
+		c.partials[k] = pt
+	} else if offset < pt.next || slices.Contains(pt.ahead, offset) {
+		return
+	}
+	copy(pt.data[offset:], payload)
+	pt.got += len(payload)
+	if offset == pt.next {
+		pt.next += len(payload)
+	} else {
+		pt.ahead = append(pt.ahead, offset)
+	}
+	if pt.got < total {
+		return
+	}
+	delete(c.partials, k)
+	c.stash[k] = inMsg{src: src, tag: pt.tag, data: pt.data}
+	c.releaseInOrder(src)
+}
+
+// buf returns an n-byte reassembly buffer: the smallest free one that fits,
+// else a fresh one. A recycled buffer holds stale bytes; the message's
+// fragments overwrite every one of them before Recv can return it.
+func (c *Comm) buf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	best := -1
+	for i, b := range c.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(c.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, n)
+	}
+	b := c.free[best]
+	last := len(c.free) - 1
+	c.free[best] = c.free[last]
+	c.free[last] = nil
+	c.free = c.free[:last]
+	return b[:n]
+}
+
+// Release hands back a buffer that Recv returned, so a later message's
+// reassembly can reuse it instead of allocating. The caller gives up b:
+// neither it nor anything it passed b to may read or write b afterwards.
+// In particular a buffer passed to Send must not be released, since its
+// fragments are read by reference until they are delivered. Release is
+// optional; a buffer never released stays the caller's and is collected
+// like any other. Buffers beyond a small bounded free list are dropped.
+func (c *Comm) Release(b []byte) {
+	if cap(b) == 0 || len(c.free) >= poolCap {
+		return
+	}
+	c.free = append(c.free, b)
 }
 
 // releaseInOrder moves stashed messages from src into the matchable list in
@@ -334,21 +426,17 @@ func (c *Comm) probe(p *sim.Proc, src int) {
 
 // Recv blocks until a message from src with a matching tag (or AnyTag)
 // arrives, and returns its payload. A zero-length message returns an empty
-// (non-nil) slice.
+// (non-nil) slice. The payload is the caller's: a buffer of its own,
+// referenced by nothing else in the communicator. A caller done with it
+// may hand it back with Release.
 func (c *Comm) Recv(p *sim.Proc, src, tag int) ([]byte, error) {
 	t0 := p.Now()
 	defer func() { c.CommTime += p.Now().Sub(t0) }()
 	wait := sim.Microsecond
 	nextProbe := p.Now().Add(probeAfter)
 	for {
-		for i, m := range c.complete {
-			if m.src == src && (tag == AnyTag || m.tag == tag) {
-				c.complete = append(c.complete[:i], c.complete[i+1:]...)
-				if m.data == nil {
-					return []byte{}, nil
-				}
-				return m.data, nil
-			}
+		if m := c.match(src, tag); m != nil {
+			return m, nil
 		}
 		// Nothing matched yet: give up rather than hang if the wait can no
 		// longer be satisfied — the source rank is dead, or any rank died

@@ -315,3 +315,101 @@ func TestDecodeEncodeF64(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDuplicateFragmentsDropped posts fragments straight through the
+// endpoint, some of them twice, as the return handler's re-issue does when a
+// delivered fragment's acknowledgement was lost. Each message must be
+// delivered once, intact, and leave no reassembly or stash state behind.
+func TestDuplicateFragmentsDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		size  int   // message bytes, in MTU units plus extra
+		extra int   // bytes past the last whole MTU
+		order []int // fragment indices in posting order
+	}{
+		{"single", 0, 300, []int{0, 0}},
+		{"two-fragment", 1, 300, []int{0, 0, 1, 1}},
+		{"two-fragment-reordered", 1, 300, []int{1, 1, 0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 2)
+			mtu := w.Comm(0).node.NIC.Config().MTU
+			msg := make([]byte, tc.size*mtu+tc.extra)
+			for i := range msg {
+				msg[i] = byte(i*7 + 1)
+			}
+			const tag = 4
+			var got [][]byte
+			ok := w.Run(func(p *sim.Proc, c *Comm) {
+				if c.Rank() == 0 {
+					msgid := c.nextID[1]
+					c.nextID[1]++
+					meta := uint64(c.rank)<<32 | uint64(uint32(tag))
+					for _, f := range tc.order {
+						lo := f * mtu
+						hi := min(lo+mtu, len(msg))
+						args := [4]uint64{msgid, uint64(lo), uint64(len(msg)), meta}
+						if err := c.ep.RequestBulk(p, 1, hFrag, msg[lo:hi], args); err != nil {
+							t.Errorf("post fragment %d: %v", f, err)
+						}
+					}
+					if err := c.Send(p, 1, tag, []byte("after")); err != nil {
+						t.Errorf("send: %v", err)
+					}
+					return
+				}
+				for i := 0; i < 2; i++ {
+					b, err := c.Recv(p, 0, tag)
+					if err != nil {
+						t.Errorf("recv %d: %v", i, err)
+						return
+					}
+					got = append(got, b)
+				}
+			}, 5*sim.Second)
+			if !ok {
+				t.Fatal("ranks did not complete")
+			}
+			if len(got) != 2 || !bytes.Equal(got[0], msg) || string(got[1]) != "after" {
+				t.Fatalf("received %d messages; first intact=%v, second=%q",
+					len(got), len(got) > 0 && bytes.Equal(got[0], msg), got[len(got)-1])
+			}
+			c := w.Comm(1)
+			if len(c.stash) != 0 || len(c.partials) != 0 || len(c.complete) != 0 {
+				t.Fatalf("left behind: %d stashed, %d partial, %d unmatched",
+					len(c.stash), len(c.partials), len(c.complete))
+			}
+		})
+	}
+}
+
+// TestReleaseRecycles checks that a buffer handed back with Release serves
+// a later message of the same size, and that the recycled bytes are fully
+// overwritten.
+func TestReleaseRecycles(t *testing.T) {
+	w := newWorld(t, 2)
+	a := bytes.Repeat([]byte{0xaa}, 20_000)
+	b := bytes.Repeat([]byte{0x55}, 20_000)
+	var first, second []byte
+	ok := w.Run(func(p *sim.Proc, c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(p, 1, 1, a)
+			c.Recv(p, 1, 3) // b goes out only once a is released
+			c.Send(p, 1, 2, b)
+			return
+		}
+		first, _ = c.Recv(p, 0, 1)
+		c.Release(first)
+		c.Send(p, 0, 3, nil)
+		second, _ = c.Recv(p, 0, 2)
+	}, 5*sim.Second)
+	if !ok {
+		t.Fatal("ranks did not complete")
+	}
+	if &first[0] != &second[0] {
+		t.Fatal("released buffer was not reused")
+	}
+	if !bytes.Equal(second, b) {
+		t.Fatal("recycled buffer holds stale bytes")
+	}
+}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"virtnet/internal/sim"
 )
@@ -97,7 +98,7 @@ func (c *Comm) Waitall(p *sim.Proc, reqs []*Request) ([][]byte, error) {
 func (c *Comm) match(src, tag int) []byte {
 	for i, m := range c.complete {
 		if m.src == src && (tag == AnyTag || m.tag == tag) {
-			c.complete = append(c.complete[:i], c.complete[i+1:]...)
+			c.complete = slices.Delete(c.complete, i, i+1)
 			if m.data == nil {
 				return []byte{}
 			}

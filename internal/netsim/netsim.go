@@ -174,7 +174,7 @@ func DefaultBurstParams() BurstParams {
 
 // LinkCounters is one link's traffic totals.
 type LinkCounters struct {
-	Name                   string
+	Name                     string
 	Sent, Delivered, Dropped int64
 }
 

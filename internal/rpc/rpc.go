@@ -111,10 +111,10 @@ type CtxProc func(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error)
 // in the poll/wait paths flushes due entries (return handlers run inside
 // Poll and must not sleep).
 type deferredSend struct {
-	due    sim.Time
-	dstIdx int
-	h      int
-	args   [4]uint64
+	due     sim.Time
+	dstIdx  int
+	h       int
+	args    [4]uint64
 	payload []byte
 	// fl is the open backoff span of the traced call this fragment belongs
 	// to (nil for untraced calls): marked StageBackoff and finished when the

@@ -2,7 +2,10 @@
 
 package sim
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // Proc is a cooperative simulated thread: a coroutine that runs only while
 // the engine has resumed it. Procs model application processes, POSIX
@@ -170,20 +173,22 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
 		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			c.waiters = slices.Delete(c.waiters, i, i+1)
 			return
 		}
 	}
 }
 
 // Signal wakes the oldest waiter, if any. It reports whether one was woken.
-// The waiter resumes via a zero-delay event, after the caller yields.
+// The waiter resumes via a zero-delay event, after the caller yields. The
+// queue shifts down in place, so later Waits append into the same backing
+// array instead of reallocating.
 func (c *Cond) Signal() bool {
 	if len(c.waiters) == 0 {
 		return false
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	c.waiters = slices.Delete(c.waiters, 0, 1)
 	p.waiting = nil
 	p.resumeT.Reset(0)
 	return true
@@ -196,7 +201,8 @@ func (c *Cond) Broadcast() int {
 		p.waiting = nil
 		p.resumeT.Reset(0)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 	return n
 }
 

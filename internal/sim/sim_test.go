@@ -177,6 +177,34 @@ func TestCondBroadcast(t *testing.T) {
 	}
 }
 
+// TestCondSteadyStateAllocs checks that a steady Wait/Signal (and
+// Wait/Broadcast) cycle reuses the cond's waiter queue: once warmed up, a
+// cycle allocates nothing.
+func TestCondSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	c := NewCond(e)
+	for i := 0; i < 2; i++ {
+		e.Spawn("w", func(p *Proc) {
+			for {
+				c.Wait(p)
+			}
+		})
+	}
+	e.Run()
+	for name, wake := range map[string]func(){
+		"signal":    func() { c.Signal(); c.Signal() },
+		"broadcast": func() { c.Broadcast() },
+	} {
+		if n := testing.AllocsPerRun(100, func() { wake(); e.Run() }); n != 0 {
+			t.Errorf("%s: %v allocs per Wait cycle, want 0", name, n)
+		}
+		if c.Waiters() != 2 {
+			t.Fatalf("%s: %d waiters after the cycle, want 2", name, c.Waiters())
+		}
+	}
+}
+
 func TestWaitTimeoutTimesOut(t *testing.T) {
 	e := NewEngine(1)
 	c := NewCond(e)
